@@ -13,11 +13,7 @@ micro-benchmark times raw insert/lookup throughput of both stores, with
 a floor on sharded insert rate (``NICE_STORE_INSERT_FLOOR``, default
 1.1 M/s — 4x what the pre-v2 store managed here).  A checkpoint section
 snapshots a grown store twice and asserts the second snapshot's record
-bytes are O(new states), not O(all states).  A wire section runs the
-revisit-heavy loadbalancer workload over two workers with the dedup
-pre-filter on and off and asserts the pre-filter ships at least **2x**
-fewer result-payload bytes (``NICE_WIRE_SAVINGS_FLOOR``) while
-exploring the identical state space.
+bytes are O(new states), not O(all states).
 
 Everything lands in ``BENCH_store.json`` at the repository root; the
 nightly ``hotpath`` CI job runs this file and uploads the artifact.
@@ -152,37 +148,6 @@ def _checkpoint_bench(base_states: int = 50_000,
     }
 
 
-def _wire_bench() -> dict:
-    """Result-payload bytes over two fork workers on a revisit-heavy
-    workload (loadbalancer at ``max_pkt_sequence=3``: about two thirds
-    of all children are revisits), with the worker-side Bloom pre-filter
-    on versus off.  One run per leg — the payload byte count is a
-    deterministic function of what shipped, not a timing measurement,
-    and the two legs must agree on the explored space exactly."""
-    scenario = with_config(scenarios.loadbalancer_scenario(),
-                           stop_at_first_violation=False,
-                           max_pkt_sequence=3, workers=2)
-    legs = {}
-    for name, overrides in (("prefilter-on", {}),
-                            ("prefilter-off",
-                             dict(store_bloom_broadcast=False))):
-        stats = nice.run(with_config(scenario, **overrides))
-        legs[name] = {
-            "wall_time": stats.wall_time,
-            "transitions": stats.transitions_executed,
-            "unique_states": stats.unique_states,
-            "revisited_states": stats.revisited_states,
-            "result_payload_bytes": stats.result_payload_bytes,
-            "bloom_prefilter_drops": stats.bloom_prefilter_drops,
-            "bloom_prefilter_fp": stats.bloom_prefilter_fp,
-            "result_bytes_saved": stats.result_bytes_saved,
-        }
-    legs["savings_ratio"] = (
-        legs["prefilter-off"]["result_payload_bytes"]
-        / legs["prefilter-on"]["result_payload_bytes"])
-    return legs
-
-
 @pytest.fixture(scope="module")
 def store_results():
     best: dict[str, tuple[float, object]] = {
@@ -226,7 +191,6 @@ def store_results():
         "micro": micro,
         "bloom": _bloom_micro(),
         "checkpoint": _checkpoint_bench(),
-        "wire": _wire_bench(),
     }
     OUTPUT.write_text(json.dumps(payload, indent=2) + "\n")
     return payload
@@ -258,13 +222,6 @@ def test_store_report(store_results):
     print(f"checkpoint: full snapshot {ckpt['full_bytes_written']} B, "
           f"delta snapshot {ckpt['delta_bytes_written']} B "
           f"(+{ckpt['new_states']} states)")
-    wire = store_results["wire"]
-    print(f"wire: pre-filter ships "
-          f"{wire['prefilter-on']['result_payload_bytes']} B vs "
-          f"{wire['prefilter-off']['result_payload_bytes']} B "
-          f"({wire['savings_ratio']:.2f}x fewer, "
-          f"{wire['prefilter-on']['bloom_prefilter_drops']} stubs, "
-          f"{wire['prefilter-on']['bloom_prefilter_fp']} hydrated)")
     print(f"wrote {OUTPUT}")
 
 
@@ -332,31 +289,11 @@ def test_spill_path_exercised(store_results):
         "the default budget should keep every digest resident here"
 
 
-def test_wire_prefilter_savings_floor(store_results):
-    """The acceptance gate for the worker-side dedup pre-filter: at
-    least 2x fewer result-payload bytes shipped on the revisit-heavy
-    leg (``NICE_WIRE_SAVINGS_FLOOR``), with the explored state space
-    bit-identical either way."""
-    floor = float(os.environ.get("NICE_WIRE_SAVINGS_FLOOR", "2.0"))
-    wire = store_results["wire"]
-    on, off = wire["prefilter-on"], wire["prefilter-off"]
-    for key in ("transitions", "unique_states", "revisited_states"):
-        assert on[key] == off[key], (
-            f"pre-filter changed the explored state space ({key}:"
-            f" {on[key]} != {off[key]})")
-    assert on["bloom_prefilter_drops"] > 0, \
-        "the revisit-heavy leg should stub duplicate children"
-    assert wire["savings_ratio"] >= floor, (
-        f"pre-filter shipped only {wire['savings_ratio']:.2f}x fewer"
-        f" result-payload bytes (floor {floor:.2f}x)")
-
-
 def test_bench_file_written(store_results):
     data = json.loads(OUTPUT.read_text())
     assert data["benchmark"] == "store"
     assert set(data["searches"]) == set(CONFIGS)
     assert "bloom_hit_rate" in data["bloom"]
     assert "delta_bytes_written" in data["checkpoint"]
-    assert data["wire"]["savings_ratio"] > 0
     for search in data["searches"].values():
         assert "store_bloom_negatives" in search

@@ -181,12 +181,6 @@ def build_parser() -> argparse.ArgumentParser:
                        default=NiceConfig.store_bloom_bits, metavar="N",
                        help="sharded store: per-shard Bloom filter size in "
                             "bits (rounded up to a power of two; 0 disables)")
-    run_p.add_argument("--no-worker-bloom", action="store_true",
-                       help="parallel search: do not broadcast the explored "
-                            "set's Bloom summary to workers (children the "
-                            "master probably holds then ship in full "
-                            "instead of as digest-only stubs; the explored "
-                            "state space is identical either way)")
     run_p.add_argument("--checkpoint-dir", default=None, metavar="DIR",
                        help="periodically snapshot the master state "
                             "(explored set, frontier, stats, config) into "
@@ -303,7 +297,6 @@ def make_config(args) -> NiceConfig:
         store_shards=args.store_shards,
         store_memory_budget=args.store_memory_budget,
         store_bloom_bits=args.store_bloom_bits,
-        store_bloom_broadcast=not args.no_worker_bloom,
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_interval=args.checkpoint_interval,
     )
@@ -343,7 +336,6 @@ def cmd_run(args) -> int:
             ("--no-adaptive-batching", not args.no_adaptive_batching),
             ("--batch-groups", args.batch_groups == NiceConfig.batch_groups),
             ("--batch-nodes", args.batch_nodes == NiceConfig.batch_nodes),
-            ("--no-worker-bloom", not args.no_worker_bloom),
         ] if not is_default]
         if ignored:
             print(f"warning: {', '.join(ignored)} have no effect without"
@@ -390,9 +382,6 @@ def _report(result, args, scenario_name: str, strategy: str) -> int:
             "store_spill_reads": result.store_spill_reads,
             "store_evictions": result.store_evictions,
             "store_bloom_negatives": result.store_bloom_negatives,
-            "bloom_prefilter_drops": result.bloom_prefilter_drops,
-            "bloom_prefilter_fp": result.bloom_prefilter_fp,
-            "result_bytes_saved": result.result_bytes_saved,
             "result_payload_bytes": result.result_payload_bytes,
             "checkpoints_written": result.checkpoints_written,
             "checkpoint_seconds": result.checkpoint_seconds,

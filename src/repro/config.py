@@ -179,15 +179,6 @@ class NiceConfig:
       a compact bitset answering definite-negative membership before the
       index/disk probe, serialized into checkpoints so resume reloads it
       instead of recomputing.
-    * ``store_bloom_broadcast`` — worker-side dedup pre-filter (DESIGN.md,
-      "Distributed dedup"): broadcast the explored set's Bloom summary to
-      workers so children the master has (probably) already seen cross
-      the wire as digest-only stubs instead of full transitions.  Purely
-      a wire/CPU optimization — the master still verifies every stub
-      against the authoritative store, so the explored state space stays
-      bit-identical.  Requires ``state_matching`` and a nonzero
-      ``store_bloom_bits`` (the summary works with either store kind);
-      ``--no-worker-bloom`` on the CLI sets this to False.
     * ``checkpoint_interval`` / ``checkpoint_dir`` — master
       checkpointing: with ``checkpoint_dir`` set, the search atomically
       snapshots the explored-set store, the frontier, the statistics and
@@ -284,7 +275,6 @@ class NiceConfig:
     store_shards: int = 16
     store_memory_budget: int = 1_000_000
     store_bloom_bits: int = 1 << 20
-    store_bloom_broadcast: bool = True
     checkpoint_interval: int = 1000
     checkpoint_dir: str | None = None
     respawn_workers: bool = False

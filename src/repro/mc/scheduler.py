@@ -92,10 +92,7 @@ from repro.mc.search import (
 )
 from repro.mc.transport import TransportError, WorkerLost, create_transport
 from repro.mc.wire import (
-    BloomSummary,
-    ChildData,
     ExpandTask,
-    FetchChildren,
     Heartbeat,
     TaskResult,
     WorkerError,
@@ -164,19 +161,6 @@ class _Scheduler:
     #: ``min_workers`` floor.
     RESPAWN_GRACE = 60.0
 
-    #: Bitset bytes a single summary broadcast may carry.  The local
-    #: transport's task queues write into a pipe whose buffer is the
-    #: *only* slack a submit has: a message bigger than the unread
-    #: capacity blocks the master until the worker drains it — forever,
-    #: if that worker just died (SIGKILL lands between the submit-time
-    #: liveness check and the write).  Keeping every message well under
-    #: the classic 64 KiB pipe buffer preserves the transport's design
-    #: invariant that submits never block and a dead worker is always
-    #: detected at recv() (pipe EOF).  Shards whose delta does not fit
-    #: ride the next dispatch; a partially synced worker just drops
-    #: fewer duplicates until then (staleness is always safe).
-    SUMMARY_BUDGET = 24 << 10
-
     def __init__(self, searcher: ParallelSearcher, transport):
         self.searcher = searcher
         self.config = searcher.config
@@ -192,39 +176,6 @@ class _Scheduler:
         self._queues: dict[int | None, deque] = {None: deque()}
         self._pending_groups = 0
         self._explored = store_mod.create_store(self.config)
-        #: Worker-side Bloom dedup pre-filter (wire protocol v4;
-        #: DESIGN.md, "Distributed dedup"): broadcast the explored set's
-        #: Bloom summary so workers stop shipping known-duplicate
-        #: children.  Pointless without state matching (nothing is
-        #: deduplicated) or with the Bloom sized to zero.
-        self._summary_bits = getattr(self.config, "store_bloom_bits", 0)
-        self._summary_shards = self.config.store_shards
-        # getattr: a resumed checkpoint may carry a config pickled before
-        # this knob existed (same guard create_store uses for bloom bits).
-        self._worker_bloom = (
-            getattr(self.config, "store_bloom_broadcast", True)
-            and self.config.state_matching
-            and self._summary_bits > 0)
-        if self._worker_bloom:
-            # Before any add — run() preloads a resumed checkpoint through
-            # store.add, so checkpointed digests are covered too.
-            self._explored.enable_summary(self._summary_bits,
-                                          self._summary_shards)
-        #: Latest summary broadcast state: shard -> monotonically bumped
-        #: version, and shard -> that version's full bitset bytes.
-        self._summary_versions: dict[int, int] = {}
-        self._summary_payload: dict[int, bytes] = {}
-        #: worker id -> {shard: version} it has been sent (a fresh or
-        #: elastic worker starts empty and gets every shard).
-        self._worker_synced: dict[int, dict[int, int]] = {}
-        #: worker id -> {shard: (version, offset)} mid-broadcast cursor:
-        #: shards whose bitset exceeded one message's SUMMARY_BUDGET
-        #: continue from ``offset`` on the next dispatch.
-        self._worker_pending: dict[int, dict[int, tuple[int, int]]] = {}
-        #: task id -> parked TaskResult ``out`` awaiting stub hydration
-        #: (the task stays in ``_in_flight`` until the fetch completes,
-        #: so drains and deadlines keep covering it).
-        self._awaiting: dict[int, dict] = {}
         self._in_flight: dict[int, tuple[int, list]] = {}  # task_id -> (wid, groups)
         #: Live pool membership; filled from ``transport.worker_ids()``
         #: once the transport is up — deaths remove ids, elastic joins add
@@ -311,6 +262,9 @@ class _Scheduler:
             self.config, searcher.scenario_spec, self._explored, stats,
             previous=baseline)
         checkpointer.install()
+        # Frame bytes of earlier legs of a resumed search; this leg's
+        # transport total goes on top (see _count_payload).
+        self._payload_base = stats.result_payload_bytes
         # start() is inside the try: a transport that fails to come up
         # (accept deadline, dead spawn) must still have stop() run so no
         # listener or half-started worker outlives the search.
@@ -327,6 +281,7 @@ class _Scheduler:
                     # cut (every dispatched task merged, nothing in
                     # flight), or resumed counters would double-count.
                     self._drain()
+                    self._count_payload()
                     checkpointer.write(self._frontier_groups(),
                                        searcher._rng.getstate())
                     if checkpointer.sigterm:
@@ -353,11 +308,18 @@ class _Scheduler:
                 checkpointer.sync()
                 stats.unique_states = len(self._explored)
                 self._explored.close()
+                self._count_payload()
         stats.wall_time = time.perf_counter() - start
         # Worker deltas were merged per task; add the master's own hashing
         # (the initial state) on top.
         stats.add_hash_stats(initial._hash_stats.snapshot())
         return stats
+
+    def _count_payload(self) -> None:
+        """Copy the transport's received-frame byte total into the stats
+        (before a snapshot, so checkpoints carry it, and at the end)."""
+        self.stats.result_payload_bytes = (self._payload_base
+                                           + self.transport.result_bytes)
 
     def _drain(self) -> None:
         """Absorb every in-flight result (worker churn included) so the
@@ -381,8 +343,6 @@ class _Scheduler:
     def _handle(self, message) -> None:
         if isinstance(message, TaskResult):
             self._merge(message)
-        elif isinstance(message, ChildData):
-            self._on_child_data(message)
         elif isinstance(message, Heartbeat):
             self._last_beat[message.worker_id] = time.monotonic()
         elif isinstance(message, WorkerGone):
@@ -423,8 +383,6 @@ class _Scheduler:
         self._batch.pop(worker_id, None)
         self._rtt.pop(worker_id, None)
         self._last_beat.pop(worker_id, None)
-        self._worker_synced.pop(worker_id, None)
-        self._worker_pending.pop(worker_id, None)
         stats = self.stats
         stats.worker_failures += 1
         # A tolerated death must still be *visible*: the reason can carry a
@@ -445,7 +403,6 @@ class _Scheduler:
         for task_id in [t for t, (w, _) in self._in_flight.items()
                         if w == worker_id]:
             _, groups = self._in_flight.pop(task_id)
-            self._awaiting.pop(task_id, None)
             self._submit_times.pop(task_id, None)
             self._deadlines.pop(task_id, None)
             stats.tasks_retried += 1
@@ -699,8 +656,6 @@ class _Scheduler:
 
     def _dispatch(self) -> None:
         """Hand groups to every worker with spare capacity."""
-        if self._worker_bloom and self._pending_groups:
-            self._refresh_summary()
         while self._pending_groups:
             worker_id = self._pick_worker()
             if worker_id is None:
@@ -720,67 +675,12 @@ class _Scheduler:
             allowance = self._task_deadline(worker_id)
             if allowance:
                 self._deadlines[task_id] = now + allowance
-            summary = (self._summary_for(worker_id)
-                       if self._worker_bloom else None)
             try:
-                if summary is not None and self.transport.summary_push:
-                    # Socket transport: a standalone push ahead of the
-                    # task (FIFO channel — the worker installs it before
-                    # expanding) keeps summaries out of the task frame.
-                    self.transport.submit(worker_id, summary)
-                    summary = None
-                self.transport.submit(
-                    worker_id, ExpandTask(task_id, groups, summary))
+                self.transport.submit(worker_id, ExpandTask(task_id, groups))
             except WorkerLost as lost:
                 # The task is registered in-flight, so the death handler
                 # requeues it along with anything else the worker held.
                 self._on_worker_gone(worker_id, lost.reason)
-
-    def _refresh_summary(self) -> None:
-        """Pull the store's dirty-shard Bloom deltas into the broadcast
-        state, bumping each grown shard's version so per-worker sync
-        tracking knows who is stale."""
-        for shard, data in self._explored.bloom_delta():
-            self._summary_versions[shard] = \
-                self._summary_versions.get(shard, 0) + 1
-            self._summary_payload[shard] = data
-
-    def _summary_for(self, worker_id: int) -> BloomSummary | None:
-        """The next SUMMARY_BUDGET bytes of delta bringing ``worker_id``
-        toward the latest summary — ``(shard, offset, chunk)`` slices of
-        the shards it has not seen at their current version — or None
-        when it is already in sync.
-
-        A shard is marked synced at the version its broadcast *started*
-        with: if the shard grew mid-broadcast, the next refresh sees the
-        version mismatch and re-ships it from the top.  A chunk always
-        slices the current payload, so a suffix can carry newer bits
-        than its prefix — harmless, bits only ever accrete."""
-        synced = self._worker_synced.setdefault(worker_id, {})
-        pending = self._worker_pending.setdefault(worker_id, {})
-        for shard, version in self._summary_versions.items():
-            if synced.get(shard) != version and shard not in pending:
-                pending[shard] = (version, 0)
-        if not pending:
-            return None
-        budget = self.SUMMARY_BUDGET
-        slices = []
-        for shard in sorted(pending):
-            if budget <= 0:
-                break
-            version, offset = pending[shard]
-            data = self._summary_payload[shard]
-            chunk = bytes(data[offset:offset + budget])
-            slices.append((shard, offset, chunk))
-            budget -= len(chunk)
-            offset += len(chunk)
-            if offset >= len(data):
-                synced[shard] = version
-                del pending[shard]
-            else:
-                pending[shard] = (version, offset)
-        return BloomSummary(self._summary_shards, self._summary_bits,
-                            tuple(slices))
 
     def _pick_worker(self) -> int | None:
         """Next worker to feed: affine work first, then the least loaded
@@ -983,88 +883,15 @@ class _Scheduler:
         return trace if si is None else trace + (steps[si],)
 
     def _merge(self, result: TaskResult) -> None:
-        """Fold one task's output into the master state — or, when it
-        carries digest-only stubs the authoritative store does not hold
-        (Bloom false positives), park it and fetch the withheld
-        transitions first."""
-        if result.task_id not in self._in_flight:
+        """Retire one completed task's bookkeeping and fold its output
+        into the search state."""
+        task_id = result.task_id
+        if task_id not in self._in_flight:
             # A result that outraced its worker's death notice — organic
             # or a deadline kill: the task was already requeued, and
             # merging both copies would double-count — drop the stale one.
             return
-        out = result.out
-        self._inflate_digests(out)
-        needed = self._stubs_needing_hydration(out)
-        if not needed:
-            self._finish_task(result.task_id, out)
-            return
-        worker_id = self._in_flight[result.task_id][0]
-        self.stats.bloom_prefilter_fp += len(needed)
-        # The task stays in _in_flight while the fetch round-trips, so a
-        # checkpoint drain waits for it and a worker death requeues it;
-        # re-arm its deadline so a worker that dies without a WorkerGone
-        # (or never answers) is still caught by hang detection.
-        self._awaiting[result.task_id] = out
-        allowance = self._task_deadline(worker_id)
-        if allowance:
-            self._deadlines[result.task_id] = time.monotonic() + allowance
-        try:
-            self.transport.submit(
-                worker_id, FetchChildren(result.task_id, needed))
-        except WorkerLost as lost:
-            self._on_worker_gone(worker_id, lost.reason)
-
-    @staticmethod
-    def _inflate_digests(out: dict) -> None:
-        """Restore every kid's digest from the worker's packed blob (see
-        ``WorkerRuntime._compact_digests``; blob order == kid order,
-        bare ``None`` slots are stubs) so every kid is a plain
-        ``(transition | None, digest)`` pair again before any merge
-        logic looks at it."""
-        packed = out.pop("kid_digests", None)
-        if not packed:
-            return
-        encoding, width, blob = packed
-        offset = 0
-        for _, _, kids in out["children"]:
-            for j, slot in enumerate(kids):
-                record = blob[offset:offset + width]
-                offset += width
-                digest = (record.hex() if encoding == "hex"
-                          else record.decode("ascii"))
-                kids[j] = (None if slot is None else slot[0], digest)
-
-    def _stubs_needing_hydration(self, out: dict) -> list:
-        """Stub ordinals whose digest the store does *not* hold — Bloom
-        false positives that must be fetched before the result can merge.
-
-        The walk visits digests in exactly the order ``_absorb``'s
-        ``add_batch`` will, and ``seen`` mirrors in-batch duplicate
-        semantics: a stub whose digest appeared earlier in this same
-        result is a certain revisit even when the store misses it.  Both
-        predictions are stable until the merge — store membership only
-        grows, so a predicted revisit can never turn fresh."""
-        if not out.get("prefilter_stubs"):
-            return []
-        needed: list = []
-        ordinal = 0
-        seen: set = set()
-        for _, _, kids in out["children"]:
-            for transition, digest in kids:
-                if transition is None:
-                    if digest not in seen and digest not in self._explored:
-                        needed.append(ordinal)
-                    ordinal += 1
-                seen.add(digest)
-        return needed
-
-    def _finish_task(self, task_id: int, out: dict) -> None:
-        """Retire one completed task's bookkeeping and fold its output
-        into the search state — shared by direct merges and hydration
-        completions (the RTT sample of a hydrated task includes its
-        fetch round-trip; it was part of the task's service time)."""
         worker_id, groups = self._in_flight.pop(task_id)
-        self._awaiting.pop(task_id, None)
         self._deadlines.pop(task_id, None)
         self._load[worker_id] -= 1
         submitted = self._submit_times.pop(task_id, None)
@@ -1074,55 +901,7 @@ class _Scheduler:
                 worker_id, (time.monotonic() - sent_at) / max(depth, 1))
         self.stats.worker_tasks[worker_id] = \
             self.stats.worker_tasks.get(worker_id, 0) + 1
-        self._absorb(out, groups, worker_id)
-
-    def _on_child_data(self, message: ChildData) -> None:
-        """Complete (or requeue) a task parked for stub hydration."""
-        out = self._awaiting.pop(message.task_id, None)
-        if out is None or message.task_id not in self._in_flight:
-            return  # stale: the task was already requeued (churn/deadline)
-        if message.missing:
-            # The worker evicted the parked children (bounded cache):
-            # requeue the whole task — re-expansion plus master-side
-            # dedup keeps the explored set bit-identical.
-            self._requeue_task(message.task_id)
-            return
-        self._hydrate(out, message.children)
-        self._finish_task(message.task_id, out)
-
-    @staticmethod
-    def _hydrate(out: dict, fetched: dict) -> None:
-        """Patch fetched transitions into their stub slots (ordinal *i*
-        is the i-th ``(None, digest)`` kid, mirroring the worker's stub
-        emission order), and charge the fetched bytes back against the
-        task's claimed wire savings — and onto its shipped payload: they
-        crossed the wire like any other child data."""
-        hydrated = len(pickle.dumps(list(fetched.values()),
-                                    protocol=pickle.HIGHEST_PROTOCOL))
-        out["prefilter_bytes_saved"] = max(
-            0, out.get("prefilter_bytes_saved", 0) - hydrated)
-        out["result_bytes"] = out.get("result_bytes", 0) + hydrated
-        ordinal = 0
-        for _, _, kids in out["children"]:
-            for j, (transition, digest) in enumerate(kids):
-                if transition is None:
-                    if ordinal in fetched:
-                        kids[j] = (fetched[ordinal], digest)
-                    ordinal += 1
-
-    def _requeue_task(self, task_id: int) -> None:
-        """Forget a live task and push its groups back to their owner
-        (its replay cache is intact — only the parked children are gone);
-        the old task id's late messages then drop as stale."""
-        worker_id, groups = self._in_flight.pop(task_id)
-        self._awaiting.pop(task_id, None)
-        self._submit_times.pop(task_id, None)
-        self._deadlines.pop(task_id, None)
-        self._load[worker_id] -= 1
-        self.stats.tasks_retried += 1
-        for group in groups:
-            self.stats.groups_reassigned += 1
-            self._push(worker_id, group)
+        self._absorb(result.out, groups, worker_id)
 
     def _absorb(self, out: dict, groups, worker_id: int | None) -> None:
         """Fold one expansion output into the search state — the shared
@@ -1138,11 +917,6 @@ class _Scheduler:
         stats.rebuilt_transitions += out["rebuilt"]
         stats.cache_hits += out["cache_hits"]
         stats.cache_misses += out["cache_misses"]
-        # .get: results from pre-v4 checkpoint replays or hand-built
-        # sandbox outs may lack the pre-filter keys.
-        stats.bloom_prefilter_drops += out.get("prefilter_stubs", 0)
-        stats.result_bytes_saved += out.get("prefilter_bytes_saved", 0)
-        stats.result_payload_bytes += out.get("result_bytes", 0)
         stats.add_hash_stats(out["hash_stats"])
         for record in out["violations"]:
             # Plain violations are 6-tuples; contained model exceptions
@@ -1182,14 +956,6 @@ class _Scheduler:
                 fresh = []
                 for transition, _ in kids:
                     if next(flags):
-                        if transition is None:
-                            # A still-stubbed kid can only be a predicted
-                            # revisit; a fresh flag here means the
-                            # prediction walk and the store disagree.
-                            raise TransportError(
-                                "dedup pre-filter invariant violated: a"
-                                " fresh child arrived as a digest-only"
-                                " stub")
                         fresh.append(transition)
                     else:
                         stats.revisited_states += 1

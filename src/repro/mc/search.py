@@ -22,7 +22,7 @@ seed behavior), while ``trace`` stores only the transition path and restores
 a popped node by deterministically replaying it from the initial state — the
 same mechanism the paper uses to reproduce violations (Section 6), and the
 representation cheap enough to ship between the worker processes of
-:class:`~repro.mc.parallel.ParallelSearcher`.  State hashing is memoized per
+:class:`~repro.mc.scheduler.ParallelSearcher`.  State hashing is memoized per
 component (see ``NiceConfig.hash_memoization``), so expanding a state only
 re-canonicalizes the switches/hosts the transition actually touched.
 
@@ -154,6 +154,9 @@ class SearchStats:
     received work) are auditable after the fact.
     """
 
+    #: Always 0 (the pre-filter they counted is gone); kept for readers.
+    bloom_prefilter_drops = bloom_prefilter_fp = 0
+
     def __init__(self):
         self.violations: list[Violation] = []
         self.transitions_executed = 0
@@ -206,16 +209,8 @@ class SearchStats:
         #: Lookups the sharded store's per-shard Bloom filters answered
         #: (definite negatives that skipped the index/disk probe).
         self.store_bloom_negatives = 0
-        #: Worker-side Bloom dedup pre-filter (DESIGN.md, "Distributed
-        #: dedup"): children shipped as digest-only stubs instead of full
-        #: transitions, stubs that turned out to be Bloom false positives
-        #: (hydrated with a fetch round-trip), net result-payload bytes
-        #: the stubs kept off the wire, and the pickled size of every
-        #: merged task result's children payload — the per-child part of
-        #: results, the benchmark's bytes-shipped measure.
-        self.bloom_prefilter_drops = 0
-        self.bloom_prefilter_fp = 0
-        self.result_bytes_saved = 0
+        #: Pickled bytes of every worker -> master frame the parallel
+        #: transport received (0 on serial runs).
         self.result_payload_bytes = 0
         #: Master checkpointing: snapshots written (and the wall time they
         #: took), bytes actually written (hard-linked segments excluded —
@@ -294,14 +289,6 @@ class SearchStats:
                 f" affinity {self.affinity_hits}/"
                 f"{self.affinity_hits + self.affinity_misses})"
             ))
-            if self.bloom_prefilter_drops or self.result_payload_bytes:
-                lines.insert(-1, (
-                    f"dedup pre-filter     : {self.bloom_prefilter_drops}"
-                    f" stub(s), {self.bloom_prefilter_fp} false"
-                    f" positive(s) hydrated,"
-                    f" {self.result_bytes_saved} B saved"
-                    f" ({self.result_payload_bytes} B shipped)"
-                ))
             lines.insert(-1, (
                 f"fault tolerance      : {self.worker_failures} worker"
                 f" failure(s), {self.tasks_retried} task(s) retried,"

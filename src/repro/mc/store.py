@@ -130,11 +130,9 @@ def _encode_digest(digest: str, encoding: str) -> bytes | None:
 
 
 def pack_digest(digest: str) -> bytes | None:
-    """``digest`` packed the way every Bloom participant packs it (hex
-    digests to raw bytes, anything else to its ASCII bytes), or None
-    when it fits neither (None and empty included).  Callers treat an
-    unpackable digest as definitely-new — which is always safe, just
-    unfiltered."""
+    """``digest`` packed the way the Bloom filters pack it (hex digests
+    to raw bytes, anything else to its ASCII bytes), or None when it
+    fits neither (None and empty included)."""
     if not digest:
         return None
     if _is_hex(digest):
@@ -150,12 +148,10 @@ def pack_digest(digest: str) -> bytes | None:
 # ----------------------------------------------------------------------
 
 class BloomFilter:
-    """A k=2 double-hashed bitset over packed digest records.
-
-    Factored out of ShardedStore's per-shard bitsets so the worker-side
-    dedup pre-filter (wire protocol v4) shares the exact bit layout:
-    sizes round up to a power of two (each probe is a mask, not a
-    modulo) and both probe positions come from record bytes ``[6:14]``
+    """A k=2 double-hashed bitset over packed digest records — one per
+    ShardedStore shard.  Sizes round up to a power of two (each probe is
+    a mask, not a modulo) and both probe positions come from record
+    bytes ``[6:14]``
     — bytes the sharded index prefix does not use, so a prefix
     collision still gets a real second opinion.  False positives cost
     time, never correctness; a false negative is impossible for any
@@ -179,8 +175,7 @@ class BloomFilter:
             self.data = bytearray(data)
 
     def add(self, record: bytes) -> bool:
-        """Set ``record``'s bits; True iff any bit actually changed —
-        the dirty signal the delta broadcast keys off."""
+        """Set ``record``'s bits; True iff any bit actually changed."""
         data = self.data
         mask = self.mask
         b = _from_bytes(record[6:14], "little")
@@ -221,90 +216,6 @@ class BloomFilter:
                     and (data[b2 >> 3] >> (b2 & 7)) & 1)
 
 
-class DedupSummary:
-    """Per-shard Bloom filters over *every* digest a store holds — the
-    broadcastable view of the master's explored set behind the
-    worker-side dedup pre-filter (DESIGN.md, "Distributed dedup").
-
-    Sharding follows the store's record-prefix rule (first six record
-    bytes, little-endian, mod ``shards``) purely to keep dirty tracking
-    — and the delta broadcast built on it — per-shard.  Unlike
-    ShardedStore's internal bitsets this summary also covers tail and
-    resident records: it answers "might the master already have this
-    digest?", not "is a disk probe worth it?".
-    """
-
-    def __init__(self, bits: int, shards: int):
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        self.shards = shards
-        # ``bits`` is the summary's *total* budget, split across shards:
-        # unlike the store's own disk-probe bitsets (sized per shard —
-        # each one gates I/O for its whole shard), the summary crosses
-        # the wire to every worker, so its footprint must stay broadcast
-        # -sized regardless of how finely the store shards.
-        self.filters = [BloomFilter(max(bits // shards, 64))
-                        for _ in range(shards)]
-        #: The configured total (the wire shape identity, cf.
-        #: ``WorkerRuntime.apply_summary``) vs. the actual per-shard
-        #: filter size — BloomFilter rounds to a power of two.
-        self.budget = bits
-        self.bits = self.filters[0].bits
-        self._dirty: set[int] = set()
-
-    def add_record(self, record: bytes, prefix: int | None = None) -> None:
-        if prefix is None:
-            prefix = _from_bytes(record[:6], "little")
-        shard = prefix % self.shards
-        if self.filters[shard].add(record):
-            self._dirty.add(shard)
-
-    def add(self, digest: str) -> None:
-        record = pack_digest(digest)
-        if record is not None:
-            self.add_record(record)
-
-    def probably_contains(self, digest: str) -> bool:
-        """True = the covered store *may* hold ``digest`` (a worker
-        ships a stub); False = it definitely does not (ship in full)."""
-        record = pack_digest(digest)
-        if record is None:
-            return False
-        shard = _from_bytes(record[:6], "little") % self.shards
-        return self.filters[shard].may_hold(record)
-
-    def delta(self) -> list[tuple[int, bytes]]:
-        """``(shard, bitset)`` for every shard that grew since the last
-        call, clearing the dirty set."""
-        dirty = sorted(self._dirty)
-        self._dirty.clear()
-        return [(shard, bytes(self.filters[shard].data))
-                for shard in dirty]
-
-    def apply(self, deltas) -> None:
-        """Install broadcast bitset payloads (worker side): a
-        ``{shard: bitset}`` mapping, ``(shard, bitset)`` pairs — the
-        form :meth:`delta` emits — or ``(shard, offset, chunk)``
-        triples, the size-capped slices the scheduler broadcasts (see
-        ``_Scheduler._summary_for``).  Bits only ever accrete
-        master-side, so wholesale replacement — or splicing a newer
-        slice over an older region — is sound; even an out-of-order
-        stale bitset could only make the worker ship an extra full
-        child or take a hydration round-trip, never lose a state."""
-        entries = deltas.items() if hasattr(deltas, "items") else deltas
-        for entry in entries:
-            if len(entry) == 3:
-                shard, offset, chunk = entry
-                if 0 <= shard < self.shards:
-                    data = self.filters[shard].data
-                    if 0 <= offset and offset + len(chunk) <= len(data):
-                        data[offset:offset + len(chunk)] = chunk
-            else:
-                shard, data = entry
-                if 0 <= shard < self.shards:
-                    self.filters[shard] = BloomFilter(self.bits, data)
-
-
 # ----------------------------------------------------------------------
 # State stores
 # ----------------------------------------------------------------------
@@ -314,23 +225,6 @@ class StateStore:
 
     #: Engine-facing name ("memory" / "sharded"), surfaced in SearchStats.
     kind = "store"
-
-    #: Broadcastable dedup summary behind the worker-side Bloom
-    #: pre-filter; None until the scheduler opts in via enable_summary().
-    _summary: "DedupSummary | None" = None
-
-    def enable_summary(self, bits: int, shards: int) -> None:
-        """Maintain a :class:`DedupSummary` over every digest added from
-        now on.  The scheduler calls this before any resume preload so
-        checkpointed digests are covered too."""
-        self._summary = DedupSummary(bits, shards)
-
-    def bloom_delta(self) -> list[tuple[int, bytes]]:
-        """``(shard, bitset bytes)`` pairs for summary shards that grew
-        since the last call; ``[]`` when no summary is enabled or
-        nothing changed."""
-        summary = self._summary
-        return [] if summary is None else summary.delta()
 
     def add(self, digest: str) -> bool:
         """Record ``digest``; False means it was already present."""
@@ -433,8 +327,6 @@ class MemoryStore(StateStore):
             self._hits += 1
             return False
         self._digests[digest] = None
-        if self._summary is not None:
-            self._summary.add(digest)
         return True
 
     def __contains__(self, digest: str) -> bool:
@@ -724,8 +616,6 @@ class ShardedStore(StateStore):
         tail += record
         self._slots[shard] = slot + 1
         self._count += 1
-        if self._summary is not None:
-            self._summary.add_record(record, prefix)
         resident[digest] = None
         if len(resident) > self.memory_budget:
             del resident[next(iter(resident))]
@@ -1096,9 +986,11 @@ class Checkpoint:
                             else record.decode("ascii")
 
     def restore_stats(self, stats) -> None:
-        """Seed a fresh SearchStats with the checkpointed counters."""
+        """Seed a fresh SearchStats with the checkpointed counters.  Keys
+        that are not per-run counters of this version — fields since
+        removed, or class-level constants — are skipped."""
         for key, value in self.stats.items():
-            if key in _NON_RESUMABLE or not hasattr(stats, key):
+            if key in _NON_RESUMABLE or key not in vars(stats):
                 continue
             setattr(stats, key, value)
         stats.resumed_from = str(self.path)

@@ -25,6 +25,7 @@ Two start methods:
 from __future__ import annotations
 
 import multiprocessing
+import pickle
 import signal
 import threading
 import time
@@ -150,7 +151,7 @@ class LocalTransport(Transport):
             worker_id = next(w for w, c in self._result_conns.items()
                              if c is conn)
             try:
-                result = conn.recv()
+                frame = conn.recv_bytes()
             except (EOFError, OSError) as exc:
                 process = self._processes[worker_id]
                 process.join(timeout=self.JOIN_TIMEOUT)
@@ -158,10 +159,13 @@ class LocalTransport(Transport):
                           if not process.is_alive()
                           else f"result pipe broke: {exc!r}")
                 return self._reap(worker_id, reason)
+            try:
+                result = pickle.loads(frame)
             except Exception as exc:  # noqa: BLE001 - killed mid-write
                 return self._reap(
                     worker_id, f"undecodable result (killed mid-write?):"
                                f" {exc!r}")
+            self.result_bytes += len(frame)
             if isinstance(result, WorkerError) and result.task_id is None:
                 return self._reap(
                     worker_id, f"failed to start:\n{result.error}")

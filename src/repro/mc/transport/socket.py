@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import os
 import pathlib
+import pickle
 import queue
 import signal
 import socket
@@ -50,6 +51,7 @@ from repro.mc.wire import (
     WorkerError,
     WorkerGone,
     WorkerJoined,
+    recv_frame,
     recv_msg,
     send_msg,
 )
@@ -69,10 +71,6 @@ def parse_address(address: str) -> tuple[str, int]:
 
 class SocketTransport(Transport):
     """Master side of the TCP worker protocol."""
-
-    #: Bloom summaries go out as standalone framed messages, not
-    #: piggy-backed on tasks (see the base class attribute).
-    summary_push = True
 
     #: Seconds to wait for all *initial* workers to connect before giving
     #: up on the run (elastic joiners can arrive any time after that).
@@ -283,11 +281,14 @@ class SocketTransport(Transport):
         # reads the queue, so the spurious event is harmless.
         try:
             while True:
-                message = recv_msg(connection)
+                frame = recv_frame(connection)
+                message = None if frame is None else pickle.loads(frame)
                 if message is None or isinstance(message, Shutdown):
                     self._disconnect(worker_id,
                                      "worker closed the connection")
                     return
+                with self._lock:
+                    self.result_bytes += len(frame)
                 self._results.put(message)
         except Exception as exc:  # noqa: BLE001 - see above
             self._disconnect(worker_id, f"connection lost: {exc!r}")

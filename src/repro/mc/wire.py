@@ -12,9 +12,7 @@ protocol:
   closures from a forked parent;
 * task/result messages — :class:`Hello`, :class:`InitWorker`,
   :class:`ExpandTask`, :class:`TaskResult`, :class:`WorkerError`,
-  :class:`Shutdown`, plus the v4 dedup pre-filter trio:
-  :class:`BloomSummary` (explored-set summary broadcast),
-  :class:`FetchChildren` / :class:`ChildData` (stub hydration);
+  :class:`Shutdown`, :class:`Heartbeat`;
 * pool-membership events — :class:`WorkerGone` and :class:`WorkerJoined`.
   Transports translate their own failure signals (a dead child process,
   a socket EOF, a connection reset) into :class:`WorkerGone` so the
@@ -43,12 +41,10 @@ from repro.config import NiceConfig
 #: remote worker fails fast instead of mis-decoding tasks.
 #: v2: Hello carries host/pid (elastic joins + fault-injection hooks).
 #: v3: workers emit :class:`Heartbeat` liveness beats on the result channel.
-#: v4: worker-side Bloom dedup pre-filter — :class:`BloomSummary`
-#:     broadcasts (piggy-backed on :class:`ExpandTask` for local pipes,
-#:     pushed standalone on the socket transport), digest-only child
-#:     stubs in results, and the :class:`FetchChildren` /
-#:     :class:`ChildData` hydration round-trip for Bloom false positives.
-PROTOCOL_VERSION = 4
+#: v4: worker-side Bloom dedup pre-filter (summary broadcasts, digest-only
+#:     child stubs, a fetch round-trip for false positives).
+#: v5: the v4 pre-filter is removed; results ship every child in full.
+PROTOCOL_VERSION = 5
 
 _HEADER = struct.Struct("!I")
 
@@ -147,88 +143,25 @@ class InitWorker:
 
 
 @dataclass
-class BloomSummary:
-    """Master -> worker: a dirty-shard delta of the explored set's
-    dedup Bloom summary (protocol v4; DESIGN.md, "Distributed dedup").
-
-    ``deltas`` carries ``(shard, offset, chunk)`` bitset slices for
-    shards that grew since this worker's last sync (a fresh or elastic
-    worker gets every shard), capped per message at the scheduler's
-    SUMMARY_BUDGET so no transport write can outgrow a pipe buffer and
-    block the master against a dead worker; a ``{shard: bitset}``
-    mapping of whole bitsets is also accepted
-    (:meth:`~repro.mc.store.DedupSummary.apply` handles both).
-    ``shards``/``bits`` (the configured *total* bit budget) let the
-    worker size its :class:`~repro.mc.store.DedupSummary` identically
-    to the master's.  Summaries are advisory and may be stale: a
-    missing bit only makes the worker ship a child in full (the master
-    dedups as always), a stale-set bit only costs a stub that the
-    master then verifies — never a lost state.
-    """
-
-    shards: int
-    bits: int
-    deltas: tuple | dict
-
-
-@dataclass
 class ExpandTask:
     """Master -> worker: expand these sibling groups.
 
     ``groups`` is a list of ``(parent trace, [transition, ...] | None)``
-    pairs — ``None`` marks the initial-state group.  ``summary`` is an
-    optional piggy-backed :class:`BloomSummary` delta (the local pipe
-    transports ride the dispatch; the socket transport pushes summaries
-    as standalone messages instead).
+    pairs — ``None`` marks the initial-state group.
     """
 
     task_id: int
     groups: list
-    summary: BloomSummary | None = None
 
 
 @dataclass
 class TaskResult:
-    """Worker -> master: the expansion of one :class:`ExpandTask`.
-
-    Under protocol v4, children whose digest hit the worker's Bloom
-    summary ship as digest-only *stubs* — ``(None, digest)`` kid
-    entries — while the withheld transitions stay parked worker-side
-    (bounded cache) until the master either confirms the duplicate
-    against the authoritative store or hydrates the rare false positive
-    via :class:`FetchChildren`.
-    """
+    """Worker -> master: the expansion of one :class:`ExpandTask`;
+    every child ships as a full ``(transition, digest)`` pair."""
 
     task_id: int
     worker_id: int
     out: dict
-
-
-@dataclass
-class FetchChildren:
-    """Master -> worker: send the parked transitions for these stub
-    ordinals of ``task_id`` (a stub's ordinal is its 0-based position
-    among the task's stubs, in result order).  Only sent for Bloom
-    false positives — stubs the authoritative store does not hold."""
-
-    task_id: int
-    ordinals: list
-
-
-@dataclass
-class ChildData:
-    """Worker -> master: the :class:`FetchChildren` reply.
-
-    ``children`` maps stub ordinal -> the parked transition.  ``missing``
-    is True when the worker no longer holds the task's parked children
-    (bounded-cache eviction); the master then requeues the whole task —
-    re-expansion plus master-side dedup keeps the result bit-identical.
-    """
-
-    task_id: int
-    worker_id: int
-    children: dict
-    missing: bool = False
 
 
 @dataclass
@@ -293,11 +226,18 @@ def send_msg(sock, message) -> None:
 def recv_msg(sock):
     """Read one framed message; returns None on clean EOF at a frame
     boundary."""
+    frame = recv_frame(sock)
+    return None if frame is None else pickle.loads(frame)
+
+
+def recv_frame(sock) -> bytes | None:
+    """Read one frame's pickled payload without decoding it; returns None
+    on clean EOF at a frame boundary."""
     header = _recv_exact(sock, _HEADER.size, allow_eof=True)
     if header is None:
         return None
     (length,) = _HEADER.unpack(header)
-    return pickle.loads(_recv_exact(sock, length))
+    return _recv_exact(sock, length)
 
 
 def _recv_exact(sock, count: int, allow_eof: bool = False):

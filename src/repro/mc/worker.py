@@ -19,21 +19,12 @@ one-transition suffix.  ``cache_hits`` / ``cache_misses`` count ancestor
 restorations vs. full replays from the initial state — every restoration
 increments exactly one of the two — and are reported to the master with
 every result.
-
-Workers also run the sending half of the v4 dedup pre-filter (DESIGN.md,
-"Distributed dedup"): the scheduler broadcasts Bloom summaries of the
-master's explored set, and a child whose digest hits the summary (or
-whose transition this task already ships) crosses the wire as a
-digest-only stub while the full transition is parked in a bounded
-per-worker cache, ready for a :class:`~repro.mc.wire.FetchChildren`
-hydration round-trip should the hit turn out to be a false positive.
 """
 
 from __future__ import annotations
 
 import gc
 import os
-import pickle
 import threading
 import traceback
 from collections import OrderedDict
@@ -41,13 +32,9 @@ from collections import OrderedDict
 from repro.errors import NiceError, PropertyViolation
 from repro.mc.replay import replay_with_spine
 from repro.mc.search import MODEL_ERROR_PROPERTY
-from repro.mc.store import DedupSummary
 from repro.mc.strategies import make_strategy
 from repro.mc.wire import (
-    BloomSummary,
-    ChildData,
     ExpandTask,
-    FetchChildren,
     Heartbeat,
     Hello,
     InitWorker,
@@ -86,13 +73,6 @@ class WorkerRuntime:
         #: The initial state lives in ``self.initial``, not here, so
         #: eviction never has to special-case it.
         self.cache: OrderedDict[tuple, object] = OrderedDict()
-        #: The master's broadcast dedup summary; None until the first
-        #: BloomSummary arrives (and always None with --no-worker-bloom,
-        #: which disables the pre-filter entirely).
-        self.summary: DedupSummary | None = None
-        #: task_id -> parked stub transitions, in stub-ordinal order,
-        #: awaiting a possible FetchChildren hydration request.
-        self.parked: OrderedDict[int, list] = OrderedDict()
 
     # ------------------------------------------------------------------
     # Restoration
@@ -137,27 +117,16 @@ class WorkerRuntime:
     # Expansion
     # ------------------------------------------------------------------
 
-    def expand(self, groups, task_id=None) -> dict:
+    def expand(self, groups) -> dict:
         """Expand every node of every sibling group, one clone per child.
 
         Nodes are referenced back to the master as
         ``(group index, sibling index | None)`` so only transitions and
         digests cross the process boundary, never System objects.
-
-        With a broadcast summary installed, a child whose digest the
-        summary may hold — or whose transition this very result already
-        ships — becomes a ``(None, digest)`` stub and its transition is
-        parked under ``task_id`` for a possible hydration fetch.
         """
         searcher = self.searcher
         config = self.config
         stats_sink = _StatsSink()  # scratch counter sink for _enabled()
-        summary = self.summary
-        #: Digests this result already ships a full transition for; a
-        #: repeat within one task is a *certain* master-side revisit, so
-        #: it is stubbed without even consulting the Bloom summary.
-        shipped: set = set()
-        parked: list = []
         # Every system this worker touches descends from self.initial by
         # clone, so one shared HashStats accumulates the hot-path counters;
         # each result carries this task's delta back to the master.
@@ -171,8 +140,6 @@ class WorkerRuntime:
             "rebuilt": 0,       # sibling-rebuild transitions (ditto)
             "cache_hits": 0,
             "cache_misses": 0,
-            "prefilter_stubs": 0,
-            "prefilter_bytes_saved": 0,
         }
         for gi, (trace, steps) in enumerate(groups):
             base = self.base_for(trace, out)
@@ -194,7 +161,7 @@ class WorkerRuntime:
                     self._check(
                         "check_quiescent", system, gi, si, None, out)
                     if config.stop_at_first_violation and out["violations"]:
-                        return self._finish(out, stats_sink, parked, task_id)
+                        return self._finish(out, stats_sink)
                     continue
                 if (config.max_depth is not None
                         and len(node_trace) >= config.max_depth):
@@ -221,156 +188,29 @@ class WorkerRuntime:
                              gi, si, transition, traceback.format_exc())
                         )
                         if config.stop_at_first_violation:
-                            return self._finish(out, stats_sink, parked,
-                                                task_id)
+                            return self._finish(out, stats_sink)
                         continue
                     out["transitions"] += 1
                     self._check("check", child, gi, si, transition, out)
                     if config.stop_at_first_violation and out["violations"]:
-                        return self._finish(out, stats_sink, parked, task_id)
+                        return self._finish(out, stats_sink)
                     # The digest feeds the master's explored-set dedup;
                     # without state matching it would be discarded (the
                     # serial loop skips hashing there too).
                     digest = (child.state_hash() if config.state_matching
                               else None)
-                    if summary is not None and digest is not None and (
-                            digest in shipped
-                            or summary.probably_contains(digest)):
-                        parked.append(transition)
-                        kids.append((None, digest))
-                    else:
-                        if summary is not None and digest is not None:
-                            shipped.add(digest)
-                            # Seed the local summary too: by the time a
-                            # later task's result merges, this worker's
-                            # earlier results have merged first (results
-                            # are FIFO per worker), so the digest is in
-                            # the store — and if a requeue broke that
-                            # order, the stub verification walk catches
-                            # it and hydrates.  Either way exact; this
-                            # just closes the broadcast staleness window
-                            # for same-worker resends.
-                            summary.add(digest)
-                        kids.append((transition, digest))
+                    kids.append((transition, digest))
                 out["children"].append((gi, si, kids))
-        return self._finish(out, stats_sink, parked, task_id)
+        return self._finish(out, stats_sink)
 
-    def _finish(self, out, stats_sink, parked=None, task_id=None) -> dict:
+    def _finish(self, out, stats_sink) -> dict:
         out["discover_packet_runs"] = stats_sink.discover_packet_runs
         out["discover_stats_runs"] = stats_sink.discover_stats_runs
         after = self.initial._hash_stats.snapshot()
         out["hash_stats"] = tuple(
             now - before for now, before in zip(after, self._hash_before)
         )
-        if parked:
-            # What the stubs kept off the wire: the parked transitions'
-            # pickled size (each stub still ships its digest).  Parked in
-            # emission order, so stub ordinal == list index — including
-            # on the early-return paths above, where any not-yet-visible
-            # stubs of a half-expanded node sit strictly after every
-            # visible one.
-            out["prefilter_stubs"] = len(parked)
-            out["prefilter_bytes_saved"] = len(
-                pickle.dumps(parked, protocol=pickle.HIGHEST_PROTOCOL))
-            if task_id is not None:
-                self.park(task_id, parked)
-        if self.summary is not None:
-            # The v4 result encoding rides with the pre-filter: digests
-            # move out of the kid tuples into one packed blob.  Without a
-            # summary (--no-worker-bloom, quarantine sandboxes) results
-            # keep the v3 inline layout.
-            self._compact_digests(out)
-        # Measured (not estimated) children payload — the per-child part
-        # of the result, the bytes the pre-filter exists to shrink (the
-        # rest of ``out`` is a fixed-size stats envelope independent of
-        # how many children shipped).  The packed digest blob is part of
-        # that payload, so it is counted too; the master adds any
-        # hydration-fetched bytes on top.  The benchmark's bytes-shipped
-        # assertion and SearchStats.result_payload_bytes both read this.
-        out["result_bytes"] = len(pickle.dumps(
-            (out["children"], out.get("kid_digests")),
-            protocol=pickle.HIGHEST_PROTOCOL))
         return out
-
-    # ------------------------------------------------------------------
-    # Dedup pre-filter (protocol v4)
-    # ------------------------------------------------------------------
-
-    #: Parked-task cache bound, in tasks.  The scheduler keeps at most
-    #: PER_WORKER_INFLIGHT (2) tasks outstanding per worker, so 16 is
-    #: slack for requeue/hydration races, not a working-set knob; an
-    #: eviction is answered with ``ChildData(missing=True)`` and costs a
-    #: task re-expansion, never a lost state.
-    MAX_PARKED = 16
-
-    def apply_summary(self, message: BloomSummary) -> None:
-        """Install a broadcast summary delta, resizing if the shape
-        changed (it only would across a resume with different knobs)."""
-        summary = self.summary
-        if (summary is None or summary.shards != message.shards
-                or summary.budget != message.bits):
-            summary = DedupSummary(message.bits, message.shards)
-            self.summary = summary
-        summary.apply(message.deltas)
-
-    @staticmethod
-    def _compact_digests(out) -> None:
-        """Move every kid digest out of its ``(transition, digest)``
-        tuple into one packed blob (``out["kid_digests"]``, blob order ==
-        kid order): a pickled digest string costs ~40 B per kid while its
-        packed record is the raw width (16 B for the hex digests
-        ``state_hash`` emits) — for a digest-only stub that difference is
-        most of its wire cost.  Packing only happens when every digest
-        round-trips losslessly at one uniform width and encoding;
-        anything else ships the digests inline, which is always
-        correct.  Compacted kid slots are ``(transition, None)`` for a
-        full child and a bare ``None`` for a stub (one pickle byte
-        instead of an empty pair)."""
-        width = encoding = None
-        blob = bytearray()
-        for _, _, kids in out["children"]:
-            for _, digest in kids:
-                record = kind = None
-                try:
-                    packed = bytes.fromhex(digest)
-                    if packed and packed.hex() == digest:
-                        record, kind = packed, "hex"
-                except (ValueError, TypeError):
-                    pass
-                if record is None:
-                    try:
-                        record, kind = digest.encode("ascii"), "ascii"
-                    except (AttributeError, UnicodeEncodeError):
-                        return
-                if not record:
-                    return
-                if width is None:
-                    width, encoding = len(record), kind
-                elif len(record) != width or kind != encoding:
-                    return
-                blob += record
-        if width is None:
-            return
-        out["kid_digests"] = (encoding, width, bytes(blob))
-        for _, _, kids in out["children"]:
-            for j, (transition, _) in enumerate(kids):
-                kids[j] = None if transition is None else (transition, None)
-
-    def park(self, task_id, transitions) -> None:
-        self.parked[task_id] = transitions
-        while len(self.parked) > self.MAX_PARKED:
-            self.parked.popitem(last=False)
-
-    def fetch_children(self, task_id, ordinals):
-        """The parked transitions for these stub ordinals, keyed by
-        ordinal — or None when the task left the bounded cache."""
-        held = self.parked.pop(task_id, None)
-        if held is None:
-            return None
-        try:
-            return {ordinal: held[ordinal] for ordinal in ordinals}
-        except IndexError:
-            return None
 
     def _check(self, method, system, gi, si, transition, out) -> None:
         """Run every property, appending violations as picklable tuples."""
@@ -489,6 +329,16 @@ def _start_heartbeat(send, worker_id: int, interval: float):
 # Process entry points
 # ----------------------------------------------------------------------
 
+def _serve(runtime, worker_id: int, task: ExpandTask):
+    """Expand one task into its reply: a TaskResult, or a WorkerError
+    carrying the traceback if the expansion raised."""
+    try:
+        return TaskResult(task.task_id, worker_id,
+                          runtime.expand(task.groups))
+    except Exception:  # noqa: BLE001 - surface the traceback
+        return WorkerError(task.task_id, worker_id, traceback.format_exc())
+
+
 def local_worker_main(worker_id: int, task_queue, result_conn, spec) -> None:
     """Entry point of a local-transport worker process.
 
@@ -519,27 +369,7 @@ def local_worker_main(worker_id: int, task_queue, result_conn, spec) -> None:
             message = task_queue.get()
             if message is None or isinstance(message, Shutdown):
                 return
-            if isinstance(message, BloomSummary):
-                # Standalone summary push (the local transports normally
-                # piggy-back on ExpandTask instead; accepted for parity
-                # with the socket loop).
-                runtime.apply_summary(message)
-                continue
-            if isinstance(message, FetchChildren):
-                fetched = runtime.fetch_children(message.task_id,
-                                                 message.ordinals)
-                reply = ChildData(message.task_id, worker_id,
-                                  fetched or {}, missing=fetched is None)
-            else:
-                if message.summary is not None:
-                    runtime.apply_summary(message.summary)
-                try:
-                    out = runtime.expand(message.groups,
-                                         task_id=message.task_id)
-                    reply = TaskResult(message.task_id, worker_id, out)
-                except Exception:  # noqa: BLE001 - surface the traceback
-                    reply = WorkerError(message.task_id, worker_id,
-                                        traceback.format_exc())
+            reply = _serve(runtime, worker_id, message)
             try:
                 send(reply)
             except OSError:
@@ -593,28 +423,9 @@ def socket_worker_loop(sock) -> None:
                 return  # master hung up (early stop) — a clean shutdown
             if message is None or isinstance(message, Shutdown):
                 return
-            if isinstance(message, BloomSummary):
-                # Socket masters push summary deltas standalone, FIFO
-                # before the dispatch they cover.
-                runtime.apply_summary(message)
-                continue
-            if isinstance(message, FetchChildren):
-                fetched = runtime.fetch_children(message.task_id,
-                                                 message.ordinals)
-                reply = ChildData(message.task_id, worker_id,
-                                  fetched or {}, missing=fetched is None)
-            elif isinstance(message, ExpandTask):
-                if message.summary is not None:
-                    runtime.apply_summary(message.summary)
-                try:
-                    out = runtime.expand(message.groups,
-                                         task_id=message.task_id)
-                    reply = TaskResult(message.task_id, worker_id, out)
-                except Exception:  # noqa: BLE001 - surface the traceback
-                    reply = WorkerError(message.task_id, worker_id,
-                                        traceback.format_exc())
-            else:
+            if not isinstance(message, ExpandTask):
                 raise ConnectionError(f"unexpected message {message!r}")
+            reply = _serve(runtime, worker_id, message)
             try:
                 send(reply)
             except (OSError, ConnectionError):

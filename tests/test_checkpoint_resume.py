@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import dataclasses
 import os
+import shutil
 import signal
 
 import pytest
@@ -35,6 +36,7 @@ from contract import counters, requires_fork, violated_properties
 from repro import nice, scenarios
 from repro.config import NiceConfig
 from repro.mc import store as store_mod
+from repro.mc.search import SearchStats
 from repro.mc.store import (
     CheckpointError,
     Checkpointer,
@@ -211,6 +213,50 @@ class TestInProcessInterrupt:
         _, stats = nice.resume(tmp_path / "c")
         assert stats.store == "sharded"
         assert_matches_serial(stats, serial_ping)
+
+
+class TestPreRemovalCheckpoints:
+    @requires_fork
+    def test_checkpoint_with_prefilter_fields_resumes(
+            self, serial_ping, tmp_path, monkeypatch):
+        """Checkpoints written while the worker-side Bloom pre-filter
+        existed pickle a NiceConfig carrying ``store_bloom_broadcast``
+        and stats carrying its counters.  They must resume — with the
+        config as pickled on 2 workers, and serially — to the
+        uninterrupted run's counters, with the stale counters dropped."""
+        real_init = SearchStats.__init__
+
+        def legacy_init(stats):
+            real_init(stats)
+            stats.bloom_prefilter_drops = 7
+            stats.bloom_prefilter_fp = 2
+            stats.result_bytes_saved = 1234
+
+        monkeypatch.setattr(SearchStats, "__init__", legacy_init)
+        interrupt_after(monkeypatch, 150)
+        legacy = tmp_path / "legacy"
+        scenario = exhaustive_ping(workers=2, start_method="fork",
+                                   checkpoint_dir=str(legacy),
+                                   checkpoint_interval=60)
+        scenario.config.store_bloom_broadcast = True
+        with pytest.raises(Interrupted):
+            nice.run(scenario)
+        monkeypatch.undo()
+        checkpoint = load_latest_checkpoint(legacy)
+        assert checkpoint.config.store_bloom_broadcast is True
+        assert checkpoint.stats["result_bytes_saved"] == 1234
+        assert checkpoint.stats["bloom_prefilter_drops"] == 7
+        shutil.copytree(legacy, tmp_path / "copy")
+        _, parallel = nice.resume(legacy)
+        _, serial = nice.resume(tmp_path / "copy", workers=0)
+        assert parallel.engine == "local-fork"
+        assert serial.engine == "serial"
+        for stats in (parallel, serial):
+            assert stats.resumed_from is not None
+            assert_matches_serial(stats, serial_ping)
+            assert (stats.bloom_prefilter_drops,
+                    stats.bloom_prefilter_fp) == (0, 0)
+            assert not hasattr(stats, "result_bytes_saved")
 
 
 class TestSchedulerEarlyStop:

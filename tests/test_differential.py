@@ -3,11 +3,8 @@ ISSUE 5).
 
 Every engine variant of the search — serial, parallel over two fork
 workers, the eager-clone baseline (``cow_clone=False``), the
-full-render hash baseline (``hash_mode="full"``), the sharded
-explored-set store under a spill-forcing memory budget, and the
-worker-side Bloom dedup pre-filter both disabled
-(``store_bloom_broadcast=False``) and saturated into a
-hydration storm (``store_bloom_bits=8``) — must explore
+full-render hash baseline (``hash_mode="full"``), and the sharded
+explored-set store under a spill-forcing memory budget — must explore
 the identical state space and reach identical property verdicts on
 every scenario :mod:`scenario_gen` can generate.  On top of the
 variants, every seed also runs **interrupted-then-resumed**: the search
@@ -41,12 +38,6 @@ VARIANTS = {
     # generated scenario, not just giant ones.
     "sharded-store": dict(store="sharded", store_shards=4,
                           store_memory_budget=16),
-    # The worker-side dedup pre-filter, off (parallel-2 above runs it
-    # on — the default) and *saturated*: an 8-bit summary turns nearly
-    # every child into a false-positive stub, so the stub verification
-    # and hydration round-trips run on every task.
-    "no-worker-bloom": dict(workers=2, store_bloom_broadcast=False),
-    "worker-bloom-fp": dict(workers=2, store_bloom_bits=8),
 }
 
 FAST_SEEDS = range(4)

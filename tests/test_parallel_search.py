@@ -1,6 +1,6 @@
 """The parallel search engine and the checkpointing modes.
 
-Exactness contracts under test (see ``repro/mc/parallel.py`` and DESIGN.md):
+Exactness contracts under test (see ``repro/mc/scheduler.py`` and DESIGN.md):
 
 * serial search is bit-identical across checkpoint modes (``deepcopy`` vs
   ``trace``) and clone implementations (``fast_clone`` on/off) — same
@@ -30,7 +30,7 @@ from contract import (
     violation_states,
 )
 from repro import nice, scenarios
-from repro.mc.parallel import ParallelSearcher
+from repro.mc.scheduler import ParallelSearcher
 from repro.mc.search import Searcher
 from repro.scenarios import with_config
 

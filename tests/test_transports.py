@@ -12,6 +12,9 @@ fork-only suite (``tests/test_parallel_search.py``) opened.
 from __future__ import annotations
 
 import socket as socket_mod
+import threading
+import time
+from collections import OrderedDict
 
 import pytest
 
@@ -20,7 +23,8 @@ from repro import nice, scenarios
 from repro.config import NiceConfig
 from repro.mc import wire
 from repro.mc.scheduler import ParallelSearcher
-from repro.mc.transport.socket import parse_address
+from repro.mc.transport.socket import SocketTransport, parse_address
+from repro.mc.worker import WorkerRuntime
 from repro.nice import Scenario
 from repro.scenarios import with_config
 
@@ -181,6 +185,145 @@ class TestReplayCache:
         assert counters(adaptive) == counters(serial_direct_path)
         assert violated_properties(adaptive) == \
             violated_properties(serial_direct_path)
+
+
+class TestBaseForAccounting:
+    """DESIGN.md: every restoration bumps exactly one of cache_hits /
+    cache_misses — a hit whenever *any* cached entry provided the clone
+    source (the root entry ``()`` included), a miss only for the
+    fall-through full replay from the initial state."""
+
+    class _FakeSystem:
+        def clone(self):
+            return self
+
+    def _runtime(self, cached=()):
+        runtime = WorkerRuntime.__new__(WorkerRuntime)
+        runtime.cache = OrderedDict(
+            (trace, self._FakeSystem()) for trace in cached)
+        runtime.initial = self._FakeSystem()
+        runtime._replay = lambda system, trace, k: system
+        return runtime
+
+    @staticmethod
+    def _counters():
+        return {"cache_hits": 0, "cache_misses": 0, "replayed": 0}
+
+    def test_exact_hit_replays_nothing(self):
+        runtime = self._runtime(cached=[("a", "b")])
+        out = self._counters()
+        runtime.base_for(("a", "b"), out)
+        assert (out["cache_hits"], out["cache_misses"]) == (1, 0)
+        assert out["replayed"] == 0
+
+    def test_ancestor_hit_replays_the_suffix(self):
+        runtime = self._runtime(cached=[("a",)])
+        out = self._counters()
+        runtime.base_for(("a", "b", "c"), out)
+        assert (out["cache_hits"], out["cache_misses"]) == (1, 0)
+        assert out["replayed"] == 2
+
+    def test_root_entry_restore_of_a_deep_trace_is_a_hit(self):
+        runtime = self._runtime(cached=[()])
+        out = self._counters()
+        runtime.base_for(("a", "b", "c"), out)
+        assert (out["cache_hits"], out["cache_misses"]) == (1, 0)
+        assert out["replayed"] == 3
+
+    def test_root_trace_restore_with_cached_root_is_a_hit(self):
+        runtime = self._runtime(cached=[()])
+        out = self._counters()
+        runtime.base_for((), out)
+        assert (out["cache_hits"], out["cache_misses"]) == (1, 0)
+        assert out["replayed"] == 0
+
+    def test_cold_cache_is_a_miss_with_full_replay(self):
+        runtime = self._runtime(cached=[])
+        out = self._counters()
+        runtime.base_for(("a", "b"), out)
+        assert (out["cache_hits"], out["cache_misses"]) == (0, 1)
+        assert out["replayed"] == 2
+
+    def test_hits_plus_misses_equals_restorations(self):
+        runtime = self._runtime(cached=[(), ("a",)])
+        out = self._counters()
+        for trace in [(), ("a",), ("a", "b"), ("x", "y"), ("a", "b")]:
+            runtime.base_for(trace, out)
+        assert out["cache_hits"] + out["cache_misses"] == 5
+
+
+# ----------------------------------------------------------------------
+# Wire accounting: result_payload_bytes counts received frames
+# ----------------------------------------------------------------------
+
+class TestResultPayloadBytes:
+    """``result_payload_bytes`` is the pickled size of every worker ->
+    master frame the transport received: nonzero whenever workers ran,
+    zero on the serial engine, which has no wire."""
+
+    @pytest.mark.parametrize("overrides", [
+        pytest.param(dict(start_method="fork"), marks=requires_fork,
+                     id="fork"),
+        pytest.param(dict(transport="socket"), id="socket"),
+    ])
+    def test_parallel_runs_count_received_frames(self, overrides,
+                                                 serial_direct_path):
+        result = exhaustive(scenarios.pyswitch_direct_path(), workers=2,
+                            **overrides)
+        assert counters(result) == counters(serial_direct_path)
+        assert result.result_payload_bytes > 0
+
+    def test_serial_runs_count_nothing(self, serial_direct_path):
+        assert serial_direct_path.engine == "serial"
+        assert serial_direct_path.result_payload_bytes == 0
+
+
+# ----------------------------------------------------------------------
+# Wire protocol version: a stale worker is refused at the handshake
+# ----------------------------------------------------------------------
+
+def _recv_or_eof(sock):
+    """The master's reply on ``sock``, or None once it hung up."""
+    try:
+        return wire.recv_msg(sock)
+    except OSError:
+        return None
+
+
+class TestProtocolVersion:
+    def test_stale_worker_is_refused_and_a_current_one_admitted(self):
+        """A v4 worker is dropped at the Hello; the master keeps waiting
+        for its pool, and the next worker speaking the current protocol
+        gets its InitWorker and completes the barrier."""
+        transport = SocketTransport(
+            1, "127.0.0.1:0", scenarios.pyswitch_direct_path().spec,
+            spawn_workers=False)
+        barrier = threading.Thread(target=transport.start, args=(None,),
+                                   daemon=True)
+        barrier.start()
+        try:
+            deadline = time.monotonic() + 10
+            while transport.bound is None and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert transport.bound is not None, "master never listened"
+            with socket_mod.create_connection(transport.bound,
+                                              timeout=10) as stale:
+                wire.send_msg(stale, wire.Hello(protocol=4))
+                assert _recv_or_eof(stale) is None
+            assert barrier.is_alive(), "the master gave up on its pool"
+            assert transport.worker_ids() == []
+            assert wire.PROTOCOL_VERSION == 5
+            with socket_mod.create_connection(transport.bound,
+                                              timeout=10) as current:
+                wire.send_msg(current, wire.Hello())
+                init = _recv_or_eof(current)
+                assert isinstance(init, wire.InitWorker)
+                barrier.join(timeout=10)
+                assert not barrier.is_alive(), "the barrier did not close"
+                assert transport.worker_ids() == [init.worker_id]
+        finally:
+            transport.stop()
+            barrier.join(timeout=10)
 
 
 # ----------------------------------------------------------------------
